@@ -29,11 +29,17 @@ FUZZ_TARGETS := \
 ## traced, and over the NBD frontend).
 check: vet build race race-sharded fuzz gcsched-smoke durable-smoke serve-smoke trace-smoke nbd-smoke
 
+# perfbench is its own module (perfbench/go.mod), so ./... never reaches
+# it; build and vet it explicitly, offline, the way perfbench/run.sh does.
+PERFBENCH_ENV := GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
+
 build:
 	$(GO) build ./...
+	$(PERFBENCH_ENV) $(GO) build -C perfbench -o /dev/null .
 
 vet:
 	$(GO) vet ./...
+	$(PERFBENCH_ENV) $(GO) vet -C perfbench .
 
 test:
 	$(GO) test ./...
@@ -121,7 +127,7 @@ serve-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/ ./cmd/adaptserve ./cmd/adaptload; \
-	$$tmp/adaptserve -addr 127.0.0.1:19750 -telemetry 127.0.0.1:19751 -service-us 0 > $$tmp/serve.log 2>&1 & pid=$$!; \
+	$$tmp/adaptserve -addr 127.0.0.1:19750 -telemetry 127.0.0.1:19751 -service-us 50 > $$tmp/serve.log 2>&1 & pid=$$!; \
 	sleep 1; \
 	$$tmp/adaptload -addr 127.0.0.1:19750 -tenants 4 -workers 4 -duration 2s > $$tmp/load.log 2>&1; \
 	grep aggregate $$tmp/load.log; \
@@ -139,7 +145,7 @@ trace-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/ ./cmd/adaptserve ./cmd/adaptload; \
-	$$tmp/adaptserve -addr 127.0.0.1:19760 -telemetry 127.0.0.1:19761 -service-us 0 -trace > $$tmp/serve.log 2>&1 & pid=$$!; \
+	$$tmp/adaptserve -addr 127.0.0.1:19760 -telemetry 127.0.0.1:19761 -service-us 50 -trace > $$tmp/serve.log 2>&1 & pid=$$!; \
 	sleep 1; \
 	$$tmp/adaptload -addr 127.0.0.1:19760 -tenants 4 -workers 4 -duration 2s -trace-every 4 -flush-every 32 > $$tmp/load.log 2>&1; \
 	grep aggregate $$tmp/load.log; \
@@ -164,7 +170,7 @@ nbd-smoke:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/ ./cmd/adaptserve ./cmd/nbdload; \
-	$$tmp/adaptserve -addr 127.0.0.1:19780 -telemetry 127.0.0.1:19781 -nbd-addr 127.0.0.1:19782 -service-us 0 > $$tmp/serve.log 2>&1 & pid=$$!; \
+	$$tmp/adaptserve -addr 127.0.0.1:19780 -telemetry 127.0.0.1:19781 -nbd-addr 127.0.0.1:19782 -service-us 50 > $$tmp/serve.log 2>&1 & pid=$$!; \
 	sleep 1; \
 	$$tmp/nbdload -addr 127.0.0.1:19782 -export vol0 -workers 4 -duration 2s -unaligned 0.5 -verify > $$tmp/load.log 2>&1; \
 	grep aggregate $$tmp/load.log; \
@@ -191,7 +197,7 @@ nbd-mount-smoke:
 	tmp=$$(mktemp -d); dev=/dev/nbd0; \
 	trap 'nbd-client -d $$dev 2>/dev/null || true; kill $$pid 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/ ./cmd/adaptserve; \
-	$$tmp/adaptserve -addr 127.0.0.1:19790 -telemetry '' -nbd-addr 127.0.0.1:19791 -service-us 0 > $$tmp/serve.log 2>&1 & pid=$$!; \
+	$$tmp/adaptserve -addr 127.0.0.1:19790 -telemetry '' -nbd-addr 127.0.0.1:19791 -service-us 50 > $$tmp/serve.log 2>&1 & pid=$$!; \
 	sleep 1; \
 	nbd-client -N vol0 127.0.0.1 19791 $$dev; \
 	fio --name=nbdsmoke --filename=$$dev --rw=randrw --bs=4k --size=4M --io_size=8M \

@@ -73,6 +73,9 @@ func main() {
 	if fs.NArg() != 0 {
 		cmd.UsageErrorf("unexpected arguments: %v", fs.Args())
 	}
+	if *serviceUS < 1 {
+		cmd.UsageErrorf("-service-us must be at least 1, got %d", *serviceUS)
+	}
 	if *volumes < 1 {
 		cmd.UsageErrorf("-volumes must be at least 1, got %d", *volumes)
 	}
@@ -124,10 +127,8 @@ func main() {
 			Telemetry:   ts,
 			Durable:     durable,
 		},
-		Shards: *shards,
-		PolicyFactory: func(shard int, scfg lss.Config) (lss.Policy, error) {
-			return harness.BuildPolicy(*policy, scfg)
-		},
+		Shards:        *shards,
+		PolicyFactory: harness.PolicyFactory(*policy),
 	})
 	cmd.Check(err)
 	var srv *server.Server

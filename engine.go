@@ -3,6 +3,7 @@ package adapt
 import (
 	"time"
 
+	"adapt/internal/lss"
 	"adapt/internal/prototype"
 )
 
@@ -30,7 +31,7 @@ type BatchWrite = prototype.BatchWrite
 // GC, latency, and queueing counters.
 type EngineStats = prototype.EngineStats
 
-// EngineConfig describes a standalone ingest engine. The store
+// EngineConfig describes an ingest engine. The store
 // geometry, placement policy, and GC scheduling mode all come from the
 // embedded SimulatorConfig, so an engine shares the simulator's
 // validation and defaulting (bad names and bad GC floors surface as
@@ -57,24 +58,28 @@ type EngineConfig struct {
 	Verify bool
 }
 
-// NewEngine builds and starts a standalone ingest engine through the
-// validated public configuration path. The caller must Close it to
-// drain open chunks and stop the device workers. Constructing internal
-// prototype engines directly is deprecated for anything outside this
-// module's own tooling: it bypasses configuration validation and the
-// typed GCSchedConfig mapping.
+// NewEngine builds and starts an ingest engine (one shard over the
+// modelled device array) through the validated public configuration
+// path. The caller must Close it to drain open chunks and stop the
+// device workers. Constructing internal prototype engines directly is
+// deprecated for anything outside this module's own tooling: it
+// bypasses configuration validation and the typed GCSchedConfig
+// mapping.
 func NewEngine(c EngineConfig) (Ingest, error) {
 	cfg, pol, err := c.Simulator.build()
 	if err != nil {
 		return nil, err
 	}
-	return prototype.NewEngine(prototype.EngineConfig{
-		Store:           cfg,
-		Policy:          pol,
-		ServiceTime:     c.ServiceTime,
-		ReadServiceTime: c.ReadServiceTime,
-		QueueDepth:      c.QueueDepth,
-		Fill:            c.Fill,
-		Verify:          c.Verify,
+	return prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:           cfg,
+			ServiceTime:     c.ServiceTime,
+			ReadServiceTime: c.ReadServiceTime,
+			QueueDepth:      c.QueueDepth,
+			Fill:            c.Fill,
+			Verify:          c.Verify,
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 	})
 }

@@ -128,7 +128,12 @@ func New(cfg Config, opts Options) *Policy {
 // SetTelemetry attaches telemetry to the policy: the adaptive
 // threshold and the mechanism counters register as function-backed
 // gauges, and threshold adoptions and proactive demotions are traced.
-func (p *Policy) SetTelemetry(ts *telemetry.Set) {
+func (p *Policy) SetTelemetry(ts *telemetry.Set) { p.SetShardTelemetry(ts, -1) }
+
+// SetShardTelemetry is SetTelemetry for the policy of one engine
+// shard: every gauge registers under the {shard="id"} label the
+// shard's store uses (shard < 0: plain names).
+func (p *Policy) SetShardTelemetry(ts *telemetry.Set, shard int) {
 	if ts == nil {
 		p.tracer = nil
 		p.ta.tracer = nil
@@ -137,16 +142,16 @@ func (p *Policy) SetTelemetry(ts *telemetry.Set) {
 	p.tracer = ts.Tracer
 	p.ta.tracer = ts.Tracer
 	reg := ts.Registry
-	reg.NewFuncGauge(telemetry.MetricAdaptThreshold,
+	reg.NewFuncGauge(telemetry.ShardName(telemetry.MetricAdaptThreshold, shard),
 		"Hot/cold lifespan boundary in write-clock blocks", false,
 		func() int64 { return int64(p.ta.threshold()) })
-	reg.NewFuncGauge(telemetry.MetricAdaptAdoptions,
+	reg.NewFuncGauge(telemetry.ShardName(telemetry.MetricAdaptAdoptions, shard),
 		"Ghost-simulation threshold adoptions", true,
 		func() int64 { return p.ta.adoptions })
-	reg.NewFuncGauge(telemetry.MetricAdaptDemotions,
+	reg.NewFuncGauge(telemetry.ShardName(telemetry.MetricAdaptDemotions, shard),
 		"User writes proactively demoted into GC groups", true,
 		func() int64 { return p.dm.demotions })
-	reg.NewFuncGauge(telemetry.MetricAdaptShadows,
+	reg.NewFuncGauge(telemetry.ShardName(telemetry.MetricAdaptShadows, shard),
 		"Chunk timeouts resolved by cross-group shadow append", true,
 		func() int64 { return p.agg.shadowGrants })
 }

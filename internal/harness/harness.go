@@ -11,6 +11,7 @@ import (
 	"adapt/internal/adaptcore"
 	"adapt/internal/lss"
 	"adapt/internal/placement"
+	"adapt/internal/prototype"
 	"adapt/internal/trace"
 	"adapt/internal/workload"
 )
@@ -117,6 +118,12 @@ func BuildPolicy(name string, cfg lss.Config) (lss.Policy, error) {
 		SegmentBlocks: cfg.SegmentBlocks(),
 		ChunkBlocks:   cfg.ChunkBlocks,
 	})
+}
+
+// PolicyFactory builds each engine shard's policy by name, through
+// BuildPolicy over the shard's slice of the geometry.
+func PolicyFactory(name string) prototype.PolicyFactory {
+	return func(_ int, cfg lss.Config) (lss.Policy, error) { return BuildPolicy(name, cfg) }
 }
 
 // RunResult summarizes one policy run over one trace.

@@ -100,10 +100,8 @@ func ExpShardScale(sc Scale, opt ShardScaleOptions) (ShardScaleResult, error) {
 				// measures engine-lock and group-commit contention.
 				ServiceTime: time.Microsecond,
 			},
-			Shards: shards,
-			PolicyFactory: func(shard int, scfg lss.Config) (lss.Policy, error) {
-				return BuildPolicy(PolicyADAPT, scfg)
-			},
+			Shards:        shards,
+			PolicyFactory: PolicyFactory(PolicyADAPT),
 		})
 		if err != nil {
 			return ShardScaleResult{}, err

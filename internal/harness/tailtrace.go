@@ -121,20 +121,19 @@ func ExpTailTrace(sc Scale, policies []string, opts TailTraceOptions) (*TailTrac
 
 func runTailTrace(sc Scale, polName string, opts TailTraceOptions) (TailTraceRow, error) {
 	cfg := StoreConfig(opts.Blocks, 0)
-	pol, err := BuildPolicy(polName, cfg)
-	if err != nil {
-		return TailTraceRow{}, err
-	}
 	// The interval ring must hold every GC cycle of the run: a
 	// write-heavy window can exceed the default 4096 and evictions
 	// would silently drop attribution for early ops.
 	ts := telemetry.New(telemetry.Options{EventCapacity: 1 << 16})
-	eng, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: opts.ServiceTime,
-		Fill:        true,
-		Telemetry:   ts,
+	eng, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:       cfg,
+			ServiceTime: opts.ServiceTime,
+			Fill:        true,
+			Telemetry:   ts,
+		},
+		Shards:        1,
+		PolicyFactory: PolicyFactory(polName),
 	})
 	if err != nil {
 		return TailTraceRow{}, err

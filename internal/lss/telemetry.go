@@ -6,20 +6,10 @@ import (
 	"adapt/internal/telemetry"
 )
 
-// shardName decorates a metric name with the store's shard label so
-// several shard stores can register on one telemetry set without
-// colliding. Standalone stores (shard < 0) keep the plain canonical
-// names. Names that already carry labels get ",shard=N" appended
-// inside the braces.
-func (s *Store) shardName(name string) string {
-	if s.shard < 0 {
-		return name
-	}
-	if last := len(name) - 1; last >= 0 && name[last] == '}' {
-		return fmt.Sprintf("%s,shard=\"%d\"}", name[:last], s.shard)
-	}
-	return fmt.Sprintf("%s{shard=\"%d\"}", name, s.shard)
-}
+// shardName decorates a metric name with the store's shard label
+// (telemetry.ShardName); standalone stores (shard < 0) keep the plain
+// canonical names.
+func (s *Store) shardName(name string) string { return telemetry.ShardName(name, int(s.shard)) }
 
 // attachTelemetry attaches a telemetry set to the store (reached via
 // Deps.Telemetry or Reconfigure): canonical store metrics register as

@@ -34,7 +34,7 @@ import (
 
 const nbdE2EVolumes = 2
 
-func nbdE2EStack(dir string) (*server.Server, *Server, *prototype.Engine, error) {
+func nbdE2EStack(dir string) (*server.Server, *Server, *prototype.Sharded, error) {
 	cfg := lss.Config{
 		BlockSize:     testBlockBytes,
 		ChunkBlocks:   8,
@@ -46,14 +46,17 @@ func nbdE2EStack(dir string) (*server.Server, *Server, *prototype.Engine, error)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	eng, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: time.Microsecond,
-		Durable: &segfile.Options{
-			Dir:  filepath.Join(dir, "engine"),
-			Sync: segfile.SyncAlways,
+	eng, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:       cfg,
+			ServiceTime: time.Microsecond,
+			Durable: &segfile.Options{
+				Dir:  filepath.Join(dir, "engine"),
+				Sync: segfile.SyncAlways,
+			},
 		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 	})
 	if err != nil {
 		return nil, nil, nil, err

@@ -82,12 +82,15 @@ func newStack(t testing.TB, sc stackConfig) *stack {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := prototype.NewEngine(prototype.EngineConfig{
-			Store:        cfg,
-			Policy:       pol,
-			ServiceTime:  time.Microsecond,
-			Verify:       sc.mirror,
-			VerifyMirror: sc.mirror,
+		e, err := prototype.NewSharded(prototype.ShardedConfig{
+			Engine: prototype.EngineConfig{
+				Store:        cfg,
+				ServiceTime:  time.Microsecond,
+				Verify:       sc.mirror,
+				VerifyMirror: sc.mirror,
+			},
+			Shards:        1,
+			PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 		})
 		if err != nil {
 			t.Fatal(err)

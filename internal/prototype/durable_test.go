@@ -33,14 +33,17 @@ func durablePolicy(t *testing.T, cfg lss.Config) lss.Policy {
 	return pol
 }
 
-func durableEngine(t *testing.T, dir string) *Engine {
+func durableEngine(t *testing.T, dir string) *Sharded {
 	t.Helper()
 	cfg := durableCfg()
-	e, err := NewEngine(EngineConfig{
-		Store:       cfg,
-		Policy:      durablePolicy(t, cfg),
-		ServiceTime: time.Microsecond,
-		Durable:     &segfile.Options{Dir: dir, Sync: segfile.SyncAlways},
+	e, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
+			Store:       cfg,
+			ServiceTime: time.Microsecond,
+			Durable:     &segfile.Options{Dir: dir, Sync: segfile.SyncAlways},
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return durablePolicy(t, cfg), nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,12 +109,15 @@ func TestEngineDurableVerifyRejectsRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := durableCfg()
-	_, err := NewEngine(EngineConfig{
-		Store:       cfg,
-		Policy:      durablePolicy(t, cfg),
-		ServiceTime: time.Microsecond,
-		Verify:      true,
-		Durable:     &segfile.Options{Dir: dir, Sync: segfile.SyncAlways},
+	_, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
+			Store:       cfg,
+			ServiceTime: time.Microsecond,
+			Verify:      true,
+			Durable:     &segfile.Options{Dir: dir, Sync: segfile.SyncAlways},
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return durablePolicy(t, cfg), nil },
 	})
 	if err == nil || !strings.Contains(err.Error(), "Verify") {
 		t.Fatalf("Verify over recovered data: got %v, want rejection", err)

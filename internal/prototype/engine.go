@@ -14,9 +14,9 @@ import (
 )
 
 // Ingest is the request-facing engine API: everything the network
-// server and the harness need to drive traffic, implemented by both
-// the flat Engine (one store, one lock) and the Sharded router (one
-// store per core). All methods are safe for concurrent use.
+// server and the harness need to drive traffic, implemented by the
+// Sharded engine (one store and one lock per shard, N >= 1, over one
+// device array). All methods are safe for concurrent use.
 type Ingest interface {
 	// Config returns the aggregate store geometry (UserBlocks covers
 	// the whole LBA space even when sharded).
@@ -33,23 +33,26 @@ type Ingest interface {
 	Trim(lba int64, blocks int) error
 	TrimTimed(lba int64, blocks int) (OpTiming, error)
 
+	// FailColumn fails one array column with the default FaultConfig
+	// retry and watermark settings; RebuildStep streams it back through
+	// the device queues. Degraded reports whether degraded-mode GC is
+	// on, which the rebuild lifts at the watermark.
 	FailColumn(col int) error
 	RebuildStep(maxChunks int) (rebuilt int, done bool, err error)
 	Degraded() bool
 
 	Stats() EngineStats
-	// ShardStats returns per-shard snapshots (one entry for a flat
-	// engine), for per-shard attribution in the serving layer.
+	// ShardStats returns per-shard snapshots, for per-shard
+	// attribution in the serving layer.
 	ShardStats() []EngineStats
-	// Shards returns the shard count (1 for a flat engine).
+	// Shards returns the shard count.
 	Shards() int
-	// ShardOf maps a global LBA to the shard that owns it (always 0
-	// for a flat engine).
+	// ShardOf maps a global LBA to the shard that owns it.
 	ShardOf(lba int64) int
 
 	// GCShards returns the background-GC stepping surface of every
-	// shard (one entry for a flat engine), for an external pacer when
-	// the stores run with Config.BackgroundGC.
+	// shard, for an external pacer when the stores run with
+	// Config.BackgroundGC.
 	GCShards() []GCShard
 	// QueueFill reports the fill fraction of the most backlogged device
 	// queue (0 empty, 1 full) — the pacer's backpressure signal. Safe
@@ -82,134 +85,24 @@ type GCShard interface {
 	GCStep(budget int) bool
 }
 
-// deviceArray models the physical SSD array: per-column bounded
-// queues drained by workers that accrue the configured service time
-// per chunk and throttle to the modelled bandwidth. One deviceArray
-// backs one flat engine or every shard of a sharded engine — shards
-// partition the LBA space, not the hardware.
-type deviceArray struct {
-	devices      []*device
-	wg           sync.WaitGroup
-	start        time.Time
-	readService  time.Duration
-	writeService time.Duration
-	closeOnce    sync.Once
-}
-
-func newDeviceArray(ncols, queueDepth int, writeService, readService time.Duration) *deviceArray {
-	da := &deviceArray{
-		devices:      make([]*device, ncols),
-		start:        time.Now(),
-		readService:  readService,
-		writeService: writeService,
-	}
-	for i := range da.devices {
-		da.devices[i] = &device{ch: make(chan chunkJob, queueDepth)}
-	}
-	for _, d := range da.devices {
-		da.wg.Add(1)
-		go func(d *device) {
-			defer da.wg.Done()
-			var virtual time.Duration
-			for job := range d.ch {
-				if job.read {
-					virtual += da.readService
-					d.busyNS.Add(int64(da.readService))
-				} else {
-					virtual += da.writeService
-					d.busyNS.Add(int64(da.writeService))
-				}
-				d.chunks.Inc()
-				d.written++
-				// Throttle to the modelled bandwidth, sleeping only
-				// when the debt is large enough for the OS timer.
-				// The granule trades timer pressure for tail
-				// fidelity: sleeping off a large debt in one go
-				// quantizes every enqueue stall behind it to the full
-				// sleep, which would put a multi-millisecond floor
-				// under the serving layer's p999 that no GC
-				// scheduling could get beneath.
-				if lag := virtual - time.Since(da.start); lag > 200*time.Microsecond {
-					time.Sleep(lag)
-				}
-			}
-		}(d)
-	}
-	return da
-}
-
-// now is the array's wall-derived simulated clock, shared by every
-// engine on it so interference intervals and spans align.
-func (da *deviceArray) now() sim.Time { return sim.Time(time.Since(da.start)) }
-
-// registerTelemetry exposes per-device counters and queue gauges.
-// Call at most once per array (the owner does).
-func (da *deviceArray) registerTelemetry(ts *telemetry.Set) {
-	for i, d := range da.devices {
-		d.busyNS = ts.Registry.NewCounter(
-			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceBusyPrefix, i),
-			"Modelled device service time consumed")
-		d.chunks = ts.Registry.NewCounter(
-			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceChunksPrefix, i),
-			"Chunk operations serviced")
-		ch := d.ch
-		ts.Registry.NewFuncGauge(
-			fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceQueuePrefix, i),
-			"Queued chunk operations", false,
-			func() int64 { return int64(len(ch)) })
-	}
-}
-
-// queueFill reports the fill fraction of the most backlogged column's
-// queue. Channel length is safe to read concurrently, so this needs no
-// lock — it is a pacing heuristic, not a synchronized snapshot.
-func (da *deviceArray) queueFill() float64 {
-	var worst float64
-	for _, d := range da.devices {
-		if f := float64(len(d.ch)) / float64(cap(d.ch)); f > worst {
-			worst = f
-		}
-	}
-	return worst
-}
-
-// close shuts the device queues and waits for the workers. Safe to
-// call once; callers must guarantee no further sends.
-func (da *deviceArray) close() {
-	da.closeOnce.Do(func() {
-		for _, d := range da.devices {
-			close(d.ch)
-		}
-	})
-	da.wg.Wait()
-}
-
-// Engine is the ingest API for external request sources: it wraps the
-// log-structured store and the bandwidth-modelled device array behind a
-// mutex so network servers (internal/server) and other live producers
-// can drive the same RAID-5 pipeline that Run exercises with its
-// internal clients. Simulated time is wall-derived (time since array
-// start), so the store's SLA-window padding runs against real request
-// interarrival gaps.
+// Engine is one shard of a Sharded engine: it wraps one
+// log-structured store behind a mutex and sinks its chunk flushes into
+// the engine's shared device array in RAID-5 order. Simulated time is
+// wall-derived (time since array start), so the store's SLA-window
+// padding runs against real request interarrival gaps.
 //
 // All methods are safe for concurrent use. Chunk flushes dispatch to
-// bounded per-device queues under the engine lock, so a saturated
-// device applies backpressure to every producer, exactly as in Run.
-//
-// An Engine is either standalone (NewEngine: it owns its device
-// array, shard id -1) or one shard of a Sharded router (the router
-// owns the shared array and the shard sees a private slice of the
-// LBA space).
+// bounded per-device queues under the shard lock, so a saturated
+// device applies backpressure to every producer on the shard.
 type Engine struct {
 	mu     sync.Mutex
 	store  *lss.Store
 	oracle *checker.Oracle
+	mirror bool // the oracle keeps the byte-accurate RAID mirror
 	rng    *sim.RNG
 
-	devs     *deviceArray
-	ownsDevs bool
-	shard    int32 // -1 standalone, else the shard id
-	ncols    int
+	devs  *deviceArray
+	shard int32
 
 	stripeFill   int
 	parityRow    int64
@@ -252,9 +145,10 @@ type EngineConfig struct {
 	// returned, so subsequent traffic runs at full utilization with GC
 	// active, as the paper's prototype does after loading.
 	Fill bool
-	// Telemetry, when set, attaches live instrumentation (store metrics
-	// and events plus per-device counters). The Set must be dedicated to
-	// this engine: instrument names would collide otherwise.
+	// Telemetry, when set, attaches live instrumentation (per-shard
+	// store and policy metrics and events, per-device counters, and the
+	// array's fault counters). The Set must be dedicated to this engine:
+	// instrument names would collide otherwise.
 	Telemetry *telemetry.Set
 	// Verify attaches the correctness oracle from internal/checker: all
 	// traffic is cross-checked against the flat reference model at the
@@ -262,10 +156,11 @@ type EngineConfig struct {
 	// cross-check.
 	Verify bool
 	// VerifyMirror additionally maintains the byte-accurate RAID mirror
-	// (requires Verify and BlockSize >= 17); it enables FailColumn and
-	// RebuildStep, and full checks then verify XOR parity plus read-back
-	// of every durable block. Memory grows with chunks written — meant
-	// for tests, not long-running servers.
+	// (requires Verify and BlockSize >= 17): FailColumn and RebuildStep
+	// fail and rebuild it alongside the modelled array, and full checks
+	// then verify XOR parity plus read-back of every durable block.
+	// Memory grows with chunks written — meant for tests, not
+	// long-running servers.
 	VerifyMirror bool
 	// Durable, when set, persists the store through a file-backed
 	// segment log (internal/segfile): every flushed chunk, seal, and
@@ -288,8 +183,7 @@ type BatchWrite struct {
 	Blocks int
 }
 
-// withDefaults fills the device-model defaults shared by the flat and
-// sharded constructors.
+// withDefaults fills the device-model defaults.
 func (cfg EngineConfig) withDefaults() EngineConfig {
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 8
@@ -303,61 +197,40 @@ func (cfg EngineConfig) withDefaults() EngineConfig {
 	return cfg
 }
 
-// NewEngine builds and starts a standalone ingest engine. The caller
-// must Close it to drain open chunks and stop the device workers.
-// Direct construction is for this module's own tooling; everything
-// else should go through the public adapt.NewEngine, which shares the
-// simulator's configuration validation (typed policy names, GCSched
-// floors as errors instead of panics).
-func NewEngine(cfg EngineConfig) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if cfg.VerifyMirror && !cfg.Verify {
-		return nil, fmt.Errorf("prototype: VerifyMirror requires Verify")
-	}
-	return newEngineOn(cfg, nil, -1, true, nil)
-}
-
-// newEngineOn builds an engine over an existing device array (nil:
-// create a private one from the store geometry). shard is -1 for a
-// standalone engine; owns marks the engine as the array's owner (it
-// registers device telemetry and closes the array). gate, if non-nil,
-// is the cross-shard GC admission gate wired into the store's Deps.
-func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, owns bool, gate func() (release func())) (*Engine, error) {
+// newShard builds shard i of a Sharded engine over its device array.
+// gate is the cross-shard GC admission gate wired into the store's
+// Deps.
+func newShard(cfg EngineConfig, da *deviceArray, shard int, gate func() (release func())) (*Engine, error) {
 	geo := cfg.Store.GeometryDefaults()
-	if da == nil {
-		da = newDeviceArray(geo.DataColumns+1, cfg.QueueDepth, cfg.ServiceTime, cfg.ReadServiceTime)
-	}
 	e := &Engine{
-		rng:      sim.NewRNG(0xe116 + uint64(shard+1)*0x9e37),
-		devs:     da,
-		ownsDevs: owns,
-		shard:    int32(shard),
-		ncols:    geo.DataColumns + 1,
+		rng:    sim.NewRNG(0xe116 + uint64(shard+1)*0x9e37),
+		devs:   da,
+		shard:  int32(shard),
+		mirror: cfg.VerifyMirror,
 	}
-	// The sink runs under the engine lock (the store is only entered
-	// with it held); RAID-5 rotation matches Run's. Each shard rotates
-	// its own stripe cursor over the shared columns.
-	chunkBytes := geo.ChunkBytes()
+	// The sink runs under the shard lock (the store is only entered
+	// with it held). Each shard rotates its own stripe cursor over the
+	// shared columns.
+	ncols := len(da.devices)
 	deps := lss.Deps{
-		GCGate: gate,
-		Sink: func(w lss.ChunkWrite) {
-			parityCol := int(e.parityRow % int64(e.ncols))
+		GCGate:  gate,
+		Sharded: true,
+		Shard:   shard,
+		Sink: func(lss.ChunkWrite) {
+			parityCol := int(e.parityRow % int64(ncols))
 			col := e.stripeFill
 			if col >= parityCol {
 				col++
 			}
-			e.sinkSend(e.devs.devices[col], chunkJob{payload: w.PayloadBytes, pad: w.PadBytes})
+			e.sinkNS += e.devs.write(col, e.timing)
 			e.stripeFill++
-			if e.stripeFill == e.ncols-1 {
-				e.sinkSend(e.devs.devices[parityCol], chunkJob{payload: chunkBytes})
+			if e.stripeFill == ncols-1 {
+				e.sinkNS += e.devs.write(parityCol, e.timing)
 				e.parityChunks++
 				e.stripeFill = 0
 				e.parityRow++
 			}
 		},
-	}
-	if shard >= 0 {
-		deps.Sharded, deps.Shard = true, shard
 	}
 	if ts := cfg.Telemetry; ts != nil {
 		deps.Telemetry = ts
@@ -366,24 +239,17 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, owns bool, gate f
 		// need real elapsed time, so give it the wall-derived clock.
 		deps.Clock = da.now
 		e.itv = ts.Intervals
-		if shard < 0 {
-			// Policy instruments register under fixed names, so only a
-			// standalone engine (one policy on the set) may wire them.
-			if p, ok := cfg.Policy.(interface {
-				SetTelemetry(*telemetry.Set)
-			}); ok {
-				p.SetTelemetry(ts)
-			}
-		}
-		if owns {
-			da.registerTelemetry(ts)
+		if p, ok := cfg.Policy.(interface {
+			SetShardTelemetry(ts *telemetry.Set, shard int)
+		}); ok {
+			p.SetShardTelemetry(ts, shard)
 		}
 	}
 	if cfg.Durable != nil {
 		dopts := *cfg.Durable
 		dopts.Geometry = geo
 		dopts.Telemetry = cfg.Telemetry
-		dopts.Sharded, dopts.Shard = shard >= 0, shard
+		dopts.Sharded, dopts.Shard = true, shard
 		sf, err := segfile.Open(dopts)
 		if err != nil {
 			e.abort()
@@ -416,14 +282,6 @@ func newEngineOn(cfg EngineConfig, da *deviceArray, shard int, owns bool, gate f
 		}
 		e.oracle = o
 	}
-	if cfg.Fill && !e.recovered {
-		for lba := int64(0); lba < e.store.Config().UserBlocks; lba++ {
-			if err := e.Write(lba, 1); err != nil {
-				e.abort()
-				return nil, fmt.Errorf("prototype: engine fill: %w", err)
-			}
-		}
-	}
 	return e, nil
 }
 
@@ -440,16 +298,12 @@ func (e *Engine) DurableStats() (segfile.Stats, bool) {
 	return e.durable.Stats(), true
 }
 
-// abort stops the engine (and, if it owns them, the device workers)
-// without draining the store — used when construction fails after the
-// workers started.
+// abort stops the shard without draining the store — used when
+// construction fails.
 func (e *Engine) abort() {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
-	if e.ownsDevs {
-		e.devs.close()
-	}
 	if e.durable != nil {
 		_ = e.durable.Close()
 	}
@@ -460,23 +314,6 @@ func (e *Engine) Config() lss.Config { return e.store.Config() }
 
 // Now returns the engine's wall-derived simulated time.
 func (e *Engine) Now() sim.Time { return e.devs.now() }
-
-// Shards returns 1: a standalone engine is a single shard.
-func (e *Engine) Shards() int { return 1 }
-
-// ShardOf always returns 0 on a standalone engine.
-func (e *Engine) ShardOf(lba int64) int { return 0 }
-
-// ShardStats returns the single-shard snapshot.
-func (e *Engine) ShardStats() []EngineStats { return []EngineStats{e.Stats()} }
-
-// GCShards returns the engine itself: a flat engine is its own single
-// GC-stepping shard.
-func (e *Engine) GCShards() []GCShard { return []GCShard{e} }
-
-// QueueFill reports the fill fraction of the most backlogged device
-// queue.
-func (e *Engine) QueueFill() float64 { return e.devs.queueFill() }
 
 // GCNeeded implements GCShard.
 func (e *Engine) GCNeeded() bool {
@@ -500,23 +337,6 @@ func (e *Engine) GCStep(budget int) bool {
 		return true
 	}
 	return e.store.GCStep(budget)
-}
-
-// sinkSend dispatches a chunk job onto a device queue. Caller holds
-// e.mu. When an op is being timed, time blocked on a full queue is
-// accumulated into sinkNS; the non-blocking fast path costs nothing.
-func (e *Engine) sinkSend(d *device, job chunkJob) {
-	if !e.timing {
-		d.ch <- job
-		return
-	}
-	select {
-	case d.ch <- job:
-	default:
-		t0 := time.Now()
-		d.ch <- job
-		e.sinkNS += time.Since(t0).Nanoseconds()
-	}
 }
 
 // OpTiming is the per-op timing breakdown the Timed engine variants
@@ -637,7 +457,7 @@ func (e *Engine) Read(lba int64, blocks int) error {
 	} else {
 		e.store.Read(lba, blocks, now)
 	}
-	e.sinkSend(e.devs.devices[e.rng.Intn(len(e.devs.devices))], chunkJob{read: true})
+	e.readColumn()
 	return nil
 }
 
@@ -658,7 +478,7 @@ func (e *Engine) ReadTimed(lba int64, blocks int) (OpTiming, error) {
 	} else {
 		e.store.Read(lba, blocks, now)
 	}
-	e.sinkSend(e.devs.devices[e.rng.Intn(len(e.devs.devices))], chunkJob{read: true})
+	e.readColumn()
 	e.timeEnd(&t)
 	return t, nil
 }
@@ -699,44 +519,56 @@ func (e *Engine) Trim(lba int64, blocks int) error {
 	return e.store.Trim(lba, blocks, now)
 }
 
-// FailColumn fails one array column in the verification mirror and
-// switches the store into degraded-mode GC. Requires VerifyMirror.
-func (e *Engine) FailColumn(col int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrEngineClosed
+// readColumn consumes modelled read time on a random column. Caller
+// holds e.mu.
+func (e *Engine) readColumn() {
+	e.sinkNS += e.devs.read(e.rng.Intn(len(e.devs.devices)), e.timing)
+}
+
+// failLocked puts the shard into degraded-mode GC after its array
+// column col failed, fails the checker mirror alongside (when kept),
+// and opens the degraded interference interval. Caller holds e.mu.
+func (e *Engine) failLocked(col int) error {
+	if e.mirror {
+		if err := e.oracle.FailColumn(col); err != nil {
+			return err
+		}
 	}
-	if e.oracle == nil {
-		return fmt.Errorf("prototype: FailColumn requires EngineConfig.Verify with VerifyMirror")
-	}
-	if err := e.oracle.FailColumn(col); err != nil {
-		return err
-	}
+	e.store.Reconfigure(func(r *lss.Runtime) { r.Degraded = true })
 	e.failGen++
 	e.itv.Close(e.degradedTok, e.Now()) // a prior failure's window, if any
 	e.degradedTok = e.itv.Open(telemetry.IntervalDegraded, e.failGen, int32(col), e.shard, e.Now())
 	return nil
 }
 
-// RebuildStep advances the mirror's incremental rebuild by at most
-// maxChunks; when the rebuild completes the store leaves degraded mode.
-// Requires VerifyMirror.
-func (e *Engine) RebuildStep(maxChunks int) (rebuilt int, done bool, err error) {
+// rebuildStep advances the shard's side of an array rebuild: the
+// checker mirror's incremental rebuild by at most maxChunks (when
+// kept), and degraded-mode GC lifted when the array passes its
+// watermark (lift). arrayDone is the array's own completion; done
+// reports that the shard finished too, which closes its degraded
+// interval.
+func (e *Engine) rebuildStep(maxChunks int, lift, arrayDone bool) (done bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return 0, false, ErrEngineClosed
+		return false, ErrEngineClosed
 	}
-	if e.oracle == nil {
-		return 0, false, fmt.Errorf("prototype: RebuildStep requires EngineConfig.Verify with VerifyMirror")
+	done = arrayDone
+	if e.mirror {
+		_, mirrorDone, err := e.oracle.RebuildStep(maxChunks)
+		if err != nil {
+			return false, err
+		}
+		done = done && mirrorDone
 	}
-	rebuilt, done, err = e.oracle.RebuildStep(maxChunks)
-	if err == nil && done && e.degradedTok != 0 {
+	if lift || done {
+		e.store.Reconfigure(func(r *lss.Runtime) { r.Degraded = false })
+	}
+	if done && e.degradedTok != 0 {
 		e.itv.Close(e.degradedTok, e.Now())
 		e.degradedTok = 0
 	}
-	return rebuilt, done, err
+	return done, nil
 }
 
 // Degraded reports whether the store is running degraded-mode GC.
@@ -763,7 +595,7 @@ type EngineStats struct {
 	PaddingRatio float64
 	// GCGateWaits/GCGateWaitNS count GC cycles that had to wait for the
 	// cross-shard scheduler token, and the total time they waited.
-	// Always zero on a flat engine.
+	// Always zero on a one-shard engine.
 	GCGateWaits  int64
 	GCGateWaitNS int64
 	// GCSlices counts externally paced GC executions; GCEmergencyRuns
@@ -826,9 +658,9 @@ func (e *Engine) drainLocked() error {
 	return nil
 }
 
-// Close drains the store, stops the device workers (when this engine
-// owns them), and (with Verify) runs the final full cross-check. The
-// engine rejects all traffic afterwards.
+// Close drains the store and (with Verify) runs the final full
+// cross-check. The shard rejects all traffic afterwards; the owning
+// Sharded engine stops the device workers.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -838,9 +670,6 @@ func (e *Engine) Close() error {
 	err := e.drainLocked()
 	e.closed = true
 	e.mu.Unlock()
-	if e.ownsDevs {
-		e.devs.close()
-	}
 	if e.durable != nil {
 		// Drain above already checkpointed through the DurableLog hook;
 		// this syncs any remaining dirty tail and releases the handles.

@@ -9,7 +9,7 @@ import (
 	"adapt/internal/placement"
 )
 
-func testEngine(t *testing.T, verify, mirror bool) *Engine {
+func testEngine(t *testing.T, verify, mirror bool) *Sharded {
 	t.Helper()
 	cfg := lss.Config{
 		BlockSize:     64, // keep the mirror's RAM footprint tiny
@@ -26,12 +26,15 @@ func testEngine(t *testing.T, verify, mirror bool) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(EngineConfig{
-		Store:        cfg,
-		Policy:       pol,
-		ServiceTime:  time.Microsecond,
-		Verify:       verify,
-		VerifyMirror: mirror,
+	e, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
+			Store:        cfg,
+			ServiceTime:  time.Microsecond,
+			Verify:       verify,
+			VerifyMirror: mirror,
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 	})
 	if err != nil {
 		t.Fatal(err)

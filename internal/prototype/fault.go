@@ -7,16 +7,18 @@ import (
 	"time"
 
 	"adapt/internal/fault"
-	"adapt/internal/lss"
-	"adapt/internal/sim"
 	"adapt/internal/stats"
-	"adapt/internal/telemetry"
 )
 
 // FaultConfig arms the prototype's fault injector. The zero value
 // disables it; setting FailAtOp (with FailDevice) schedules one
 // deterministic failure, setting MTBFOps instead draws the failure
 // from a seeded exponential schedule over the run's op horizon.
+//
+// The plan fields (FailDevice through RebuildBurst) drive Run; the
+// retry, backoff and watermark fields configure the device array's
+// fault runtime, which Run arms with them and Ingest.FailColumn with
+// their defaults.
 type FaultConfig struct {
 	// FailDevice is the array column to fail (0-based, parity column
 	// included) when FailAtOp is set.
@@ -98,69 +100,44 @@ type PhaseStats struct {
 	P99 time.Duration
 }
 
-// trafficSnap is the part of the store metrics a phase boundary needs.
-type trafficSnap struct {
-	user, gc int64
-}
-
-// faultTargets is the set of stores one physical column failure
-// degrades, behind the locker that serializes access to them. A column
-// is shared hardware: the flat prototype passes its single run store,
-// a sharded deployment passes every shard store — shards partition the
-// LBA space, not the columns, so a failed column degrades all of them.
-type faultTargets struct {
-	mu     sync.Locker
-	stores []*lss.Store
-}
-
-// snap sums the traffic counters across the target stores. Caller
-// holds the locker (or has exclusive access).
-func (t faultTargets) snap() trafficSnap {
-	var s trafficSnap
-	for _, st := range t.stores {
-		m := st.Metrics()
-		s.user += m.UserBlocks
-		s.gc += m.GCBlocks
+// withDefaults validates the array-side settings and fills their
+// defaults.
+func (f FaultConfig) withDefaults() (FaultConfig, error) {
+	if f.DegradedGCWatermark < 0 || f.DegradedGCWatermark > 1 {
+		return f, fmt.Errorf("prototype: degraded GC watermark %v outside [0,1]", f.DegradedGCWatermark)
 	}
-	return s
-}
-
-// setDegraded flips degraded-mode GC on every target store. Caller
-// holds the locker.
-func (t faultTargets) setDegraded(v bool) {
-	for _, st := range t.stores {
-		st.Reconfigure(func(r *lss.Runtime) { r.Degraded = v })
+	if f.DegradedGCWatermark == 0 {
+		f.DegradedGCWatermark = 0.5
 	}
+	if f.RebuildBurst < 1 {
+		f.RebuildBurst = 8
+	}
+	if f.QueueTimeout <= 0 {
+		f.QueueTimeout = 2 * time.Millisecond
+	}
+	if f.RetryMax < 1 {
+		f.RetryMax = 5
+	}
+	return f, nil
 }
 
-// faultRun is the per-run state of the fault injector. A nil *faultRun
-// is the healthy fast path: dispatch degenerates to a plain channel
-// send and every probe reports "no failure".
+// faultRun is Run's side of a fault run: the resolved failure plan and
+// the phase accounting. The failure itself — dropped chunks, degraded
+// reads, retries, the rebuild — lives in the engine's device array.
 type faultRun struct {
 	cfg     FaultConfig
-	backoff fault.Backoff
-
 	failDev int
 	failOp  int64
 
-	// phase is the lifecycle stage, written only inside enterPhaseLocked
-	// (under the run mutex) and read lock-free by clients and the sink.
-	phase atomic.Int32
-
-	// Guarded by the run mutex (the same one serializing store access):
-	colChunks    []int64 // chunks physically placed per column
-	rebuildTotal int64   // colChunks[failDev] frozen at failure
-	entered      [numPhases]bool
-	startT       [numPhases]time.Time
-	snaps        [numPhases]trafficSnap
-
-	degReads atomic.Int64
-	lost     atomic.Int64
-	rebuilt  atomic.Int64
-	retries  atomic.Int64
-
-	tracer    *telemetry.Tracer
-	retryHist *telemetry.Histogram
+	// phase is the lifecycle stage, read lock-free by clients. Each
+	// phase is entered by one goroutine, ordered by phase itself:
+	// healthy before the clients start, degraded by the failing client,
+	// rebuilding and rebuilt by the rebuild goroutine once it saw
+	// degraded; finish runs after all of them.
+	phase   atomic.Int32
+	entered [numPhases]bool
+	startT  [numPhases]time.Time
+	snaps   [numPhases]EngineStats
 
 	// collectMu guards the merged per-phase latency samples and op
 	// counts that clients contribute when they finish.
@@ -174,24 +151,12 @@ type faultRun struct {
 // when the injector is disabled or the MTBF schedule stays quiet
 // within the run's horizon.
 func newFaultRun(cfg *Config, ncols int) (*faultRun, error) {
-	f := cfg.Fault
-	if !f.Enabled() {
+	if !cfg.Fault.Enabled() {
 		return nil, nil
 	}
-	if f.DegradedGCWatermark < 0 || f.DegradedGCWatermark > 1 {
-		return nil, fmt.Errorf("prototype: degraded GC watermark %v outside [0,1]", f.DegradedGCWatermark)
-	}
-	if f.DegradedGCWatermark == 0 {
-		f.DegradedGCWatermark = 0.5
-	}
-	if f.RebuildBurst < 1 {
-		f.RebuildBurst = 8
-	}
-	if f.QueueTimeout <= 0 {
-		f.QueueTimeout = 2 * time.Millisecond
-	}
-	if f.RetryMax < 1 {
-		f.RetryMax = 5
+	f, err := cfg.Fault.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	if f.RebuildDelayOps < 0 {
 		return nil, fmt.Errorf("prototype: negative rebuild delay %d", f.RebuildDelayOps)
@@ -216,129 +181,16 @@ func newFaultRun(cfg *Config, ncols int) (*faultRun, error) {
 			return nil, fmt.Errorf("prototype: fail op %d beyond run of %d ops", failOp, cfg.Ops)
 		}
 	}
-	return &faultRun{
-		cfg:       f,
-		backoff:   fault.Backoff{Base: f.BackoffBase, Cap: f.BackoffCap},
-		failDev:   failDev,
-		failOp:    failOp,
-		colChunks: make([]int64, ncols),
-	}, nil
+	return &faultRun{cfg: f, failDev: failDev, failOp: failOp}, nil
 }
 
-// registerTelemetry exposes the injector's counters and the retry
-// histogram on the run's registry.
-func (fr *faultRun) registerTelemetry(ts *telemetry.Set) {
-	if fr == nil || ts == nil {
-		return
-	}
-	fr.tracer = ts.Tracer
-	reg := ts.Registry
-	reg.NewFuncGauge(telemetry.MetricDegradedReads,
-		"Reads served by XOR reconstruction fan-out", true,
-		func() int64 { return fr.degReads.Load() })
-	reg.NewFuncGauge(telemetry.MetricRebuildChunks,
-		"Chunks the rebuild pushed through the device queues", true,
-		func() int64 { return fr.rebuilt.Load() })
-	reg.NewFuncGauge(telemetry.MetricLostChunks,
-		"Chunk writes dropped on the failed column", true,
-		func() int64 { return fr.lost.Load() })
-	reg.NewFuncGauge(telemetry.MetricQueueRetries,
-		"Queue sends that timed out and retried after backoff", true,
-		func() int64 { return fr.retries.Load() })
-	fr.retryHist = reg.NewHistogram(telemetry.MetricRetryHistogram,
-		"Retries per dispatched device operation", []int64{0, 1, 2, 4, 8})
-}
-
-// failureActive reports whether the failed column is currently
-// unavailable (failed and not yet fully rebuilt). Nil-safe.
-func (fr *faultRun) failureActive() bool {
-	if fr == nil {
-		return false
-	}
-	p := Phase(fr.phase.Load())
-	return p == PhaseDegraded || p == PhaseRebuilding
-}
-
-// degradedTarget reports whether a read aimed at col must fan out to
-// the survivors. Nil-safe.
-func (fr *faultRun) degradedTarget(col int) bool {
-	return fr.failureActive() && col == fr.failDev
-}
-
-// enterPhaseLocked records a phase boundary: traffic snapshot, wall
-// time, and the lock-free phase flag. Caller holds the run mutex.
-func (fr *faultRun) enterPhaseLocked(p Phase, s trafficSnap) {
+// enter records a phase boundary: traffic snapshot, wall time, and the
+// lock-free phase flag.
+func (fr *faultRun) enter(p Phase, s EngineStats) {
 	fr.snaps[p] = s
 	fr.startT[p] = time.Now()
 	fr.entered[p] = true
 	fr.phase.Store(int32(p))
-}
-
-// fail fires the planned failure: freezes the rebuild total, flips
-// every target store into degraded-mode GC, and enters PhaseDegraded.
-// Exactly one client calls it (the one whose op counter hits failOp).
-func (fr *faultRun) fail(t faultTargets, now sim.Time) {
-	t.mu.Lock()
-	fr.rebuildTotal = fr.colChunks[fr.failDev]
-	t.setDegraded(true)
-	fr.enterPhaseLocked(PhaseDegraded, t.snap())
-	t.mu.Unlock()
-	fr.tracer.Emit(telemetry.DeviceFailed(now, fr.failDev, fr.failOp))
-}
-
-// dispatch sends a job to a device queue. With a nil receiver it is a
-// plain blocking send (the healthy fast path). Armed, it first tries a
-// non-blocking send, then QueueTimeout-bounded attempts separated by
-// capped exponential backoff, and after RetryMax retries falls back to
-// a blocking send — device operations are delayed, never dropped.
-func (fr *faultRun) dispatch(d *device, job chunkJob) {
-	if fr == nil {
-		d.ch <- job
-		return
-	}
-	select {
-	case d.ch <- job:
-		fr.retryHist.Observe(0)
-		return
-	default:
-	}
-	var retries int64
-	for {
-		t := time.NewTimer(fr.cfg.QueueTimeout)
-		select {
-		case d.ch <- job:
-			t.Stop()
-			fr.retryHist.Observe(retries)
-			return
-		case <-t.C:
-		}
-		retries++
-		fr.retries.Add(1)
-		if retries >= int64(fr.cfg.RetryMax) {
-			d.ch <- job
-			fr.retryHist.Observe(retries)
-			return
-		}
-		time.Sleep(fr.backoff.Delay(int(retries) - 1))
-	}
-}
-
-// placeChunk routes one chunk of the sink's stripe to its column.
-// While the failure is active, chunks for the failed column are
-// dropped and counted lost (on a real array their content is implied
-// by parity; here the spare takes post-failure rows directly, so they
-// never enter the rebuild). Caller holds the run mutex.
-func (fr *faultRun) placeChunk(devices []*device, col int, job chunkJob) {
-	if fr == nil {
-		devices[col].ch <- job
-		return
-	}
-	if col == fr.failDev && fr.failureActive() {
-		fr.lost.Add(1)
-		return
-	}
-	fr.colChunks[col]++
-	fr.dispatch(devices[col], job)
 }
 
 // waitForRebuild blocks until the failure has fired and the configured
@@ -361,50 +213,6 @@ func (fr *faultRun) waitForRebuild(issued *atomic.Int64, clientsDone <-chan stru
 	}
 }
 
-// rebuild walks the failed column chunk by chunk, dispatching one
-// reconstruction read on every surviving column plus the spare write
-// through the same bounded queues user traffic uses — rebuild I/O
-// steals real modelled bandwidth. Once progress passes the watermark
-// the stores leave degraded-mode GC; completion enters PhaseRebuilt.
-func (fr *faultRun) rebuild(devices []*device, t faultTargets, start time.Time, chunkBytes int64) {
-	t.mu.Lock()
-	total := fr.rebuildTotal
-	fr.enterPhaseLocked(PhaseRebuilding, t.snap())
-	t.mu.Unlock()
-	fr.tracer.Emit(telemetry.RebuildStart(sim.Time(time.Since(start)), fr.failDev, total))
-
-	cleared := false
-	var done int64
-	for done < total {
-		n := int64(fr.cfg.RebuildBurst)
-		if total-done < n {
-			n = total - done
-		}
-		for i := int64(0); i < n; i++ {
-			for col, d := range devices {
-				if col == fr.failDev {
-					continue
-				}
-				fr.dispatch(d, chunkJob{read: true})
-			}
-			fr.dispatch(devices[fr.failDev], chunkJob{payload: chunkBytes})
-		}
-		done += n
-		fr.rebuilt.Add(n)
-		if !cleared && float64(done) >= fr.cfg.DegradedGCWatermark*float64(total) {
-			t.mu.Lock()
-			t.setDegraded(false)
-			t.mu.Unlock()
-			cleared = true
-		}
-	}
-	t.mu.Lock()
-	t.setDegraded(false)
-	fr.enterPhaseLocked(PhaseRebuilt, t.snap())
-	t.mu.Unlock()
-	fr.tracer.Emit(telemetry.RebuildEnd(sim.Time(time.Since(start)), fr.failDev, total))
-}
-
 // collect merges one client's per-phase latency samples and op counts.
 func (fr *faultRun) collect(latNS [numPhases][]float64, ops [numPhases]int64) {
 	fr.collectMu.Lock()
@@ -415,21 +223,17 @@ func (fr *faultRun) collect(latNS [numPhases][]float64, ops [numPhases]int64) {
 	fr.collectMu.Unlock()
 }
 
-// finish folds the injector's accounting into the run result: the
-// per-phase throughput/WA/P99 table and the fault counters.
-func (fr *faultRun) finish(res *Result, end time.Time, final *lss.Metrics) {
+// finish folds the phase accounting into the run result: the
+// per-phase throughput/WA/P99 table. final is the traffic at the end
+// of the measured phase.
+func (fr *faultRun) finish(res *Result, end time.Time, final EngineStats) {
 	res.FailedDevice = fr.failDev
 	res.FailedAtOp = fr.failOp
-	res.DegradedReads = fr.degReads.Load()
-	res.RebuildChunks = fr.rebuilt.Load()
-	res.LostChunks = fr.lost.Load()
-	res.QueueRetries = fr.retries.Load()
-	endSnap := trafficSnap{user: final.UserBlocks, gc: final.GCBlocks}
 	for p := Phase(0); p < numPhases; p++ {
 		if !fr.entered[p] {
 			continue
 		}
-		stop, snap := end, endSnap
+		stop, snap := end, final
 		for q := p + 1; q < numPhases; q++ {
 			if fr.entered[q] {
 				stop, snap = fr.startT[q], fr.snaps[q]
@@ -444,8 +248,8 @@ func (fr *faultRun) finish(res *Result, end time.Time, final *lss.Metrics) {
 		if ps.Elapsed > 0 {
 			ps.OpsPerSec = float64(ps.Ops) / ps.Elapsed.Seconds()
 		}
-		if du := snap.user - fr.snaps[p].user; du > 0 {
-			ps.WA = float64(du+snap.gc-fr.snaps[p].gc) / float64(du)
+		if du := snap.UserBlocks - fr.snaps[p].UserBlocks; du > 0 {
+			ps.WA = float64(du+snap.GCBlocks-fr.snaps[p].GCBlocks) / float64(du)
 		} else {
 			ps.WA = 1
 		}

@@ -46,22 +46,18 @@ func TestBackgroundGCDifferentialZipfian(t *testing.T) {
 	const userBlocks = 8192
 	ops := zipfTrace(0xbd457, userBlocks, 60_000)
 
-	flat := func() *Engine {
-		pol, err := sepGCFactory(t)(0, backgroundTestConfig(userBlocks).GeometryDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(EngineConfig{
+	flat, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
 			Store:       backgroundTestConfig(userBlocks),
-			Policy:      pol,
 			ServiceTime: time.Microsecond,
 			Fill:        true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}()
+		},
+		Shards:        1,
+		PolicyFactory: sepGCFactory(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sharded, err := NewSharded(ShardedConfig{
 		Engine: EngineConfig{
 			Store:       backgroundTestConfig(userBlocks),
@@ -129,13 +125,16 @@ func TestBackgroundGCConcurrentDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(EngineConfig{
-		Store:        cfg,
-		Policy:       pol,
-		ServiceTime:  time.Microsecond,
-		Verify:       true,
-		VerifyMirror: true,
-		Fill:         true,
+	e, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
+			Store:        cfg,
+			ServiceTime:  time.Microsecond,
+			Verify:       true,
+			VerifyMirror: true,
+			Fill:         true,
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,15 +204,15 @@ func TestGCSchedSurfaceShape(t *testing.T) {
 	e := testEngine(t, false, false)
 	defer e.Close()
 	if got := len(e.GCShards()); got != 1 {
-		t.Fatalf("flat engine exposes %d GC shards, want 1", got)
+		t.Fatalf("one-shard engine exposes %d GC shards, want 1", got)
 	}
-	if u := e.GCUrgency(); u != 0 {
+	if u := e.GCShards()[0].GCUrgency(); u != 0 {
 		t.Fatalf("fresh store urgency %v, want 0", u)
 	}
 	if f := e.QueueFill(); f < 0 || f > 1 {
 		t.Fatalf("queue fill %v outside [0,1]", f)
 	}
-	if !e.GCStep(8) {
+	if !e.GCShards()[0].GCStep(8) {
 		t.Fatal("idle store must report GC done")
 	}
 

@@ -93,24 +93,11 @@ type Result struct {
 	Phases        []PhaseStats
 }
 
-type chunkJob struct {
-	payload int64
-	pad     int64
-	read    bool
-}
-
-// device models one SSD: a bounded queue drained by a worker that
-// accrues the configured service time per chunk and throttles to it.
-type device struct {
-	ch      chan chunkJob
-	written int64
-
-	// Telemetry instruments; nil (no-op) when telemetry is disabled.
-	busyNS *telemetry.Counter
-	chunks *telemetry.Counter
-}
-
-// Run executes the prototype experiment.
+// Run executes the prototype experiment: Clients goroutines drive a
+// one-shard Sharded engine (the array model every engine shares)
+// through Ingest, and an armed Fault fails a column mid-run and
+// rebuilds it. Run itself keeps only the run lifecycle — the failure
+// plan, phase accounting, and per-phase latency.
 func Run(cfg Config) (Result, error) {
 	if cfg.Clients < 1 {
 		return Result{}, fmt.Errorf("prototype: need at least one client")
@@ -118,99 +105,26 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Ops < 1 {
 		return Result{}, fmt.Errorf("prototype: need at least one op")
 	}
-	if cfg.QueueDepth < 1 {
-		cfg.QueueDepth = 8
-	}
-	if cfg.ServiceTime <= 0 {
-		cfg.ServiceTime = 50 * time.Microsecond
-	}
-	if cfg.ReadServiceTime <= 0 {
-		cfg.ReadServiceTime = cfg.ServiceTime / 2
-	}
-	geo := cfg.Store.GeometryDefaults()
-	ncols := geo.DataColumns + 1
-	fr, err := newFaultRun(&cfg, ncols)
+	fr, err := newFaultRun(&cfg, cfg.Store.GeometryDefaults().DataColumns+1)
 	if err != nil {
 		return Result{}, err
 	}
-
-	devices := make([]*device, ncols)
-	for i := range devices {
-		devices[i] = &device{ch: make(chan chunkJob, cfg.QueueDepth)}
+	s, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
+			Store:           cfg.Store,
+			ServiceTime:     cfg.ServiceTime,
+			ReadServiceTime: cfg.ReadServiceTime,
+			QueueDepth:      cfg.QueueDepth,
+			Fill:            cfg.Fill,
+			Telemetry:       cfg.Telemetry,
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return cfg.Policy, nil },
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	var deps lss.Deps
-	if ts := cfg.Telemetry; ts != nil {
-		fr.registerTelemetry(ts)
-		deps.Telemetry = ts
-		if p, ok := cfg.Policy.(interface {
-			SetTelemetry(*telemetry.Set)
-		}); ok {
-			p.SetTelemetry(ts)
-		}
-		for i, d := range devices {
-			d.busyNS = ts.Registry.NewCounter(
-				fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceBusyPrefix, i),
-				"Modelled device service time consumed")
-			d.chunks = ts.Registry.NewCounter(
-				fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceChunksPrefix, i),
-				"Chunk operations serviced")
-			ch := d.ch
-			ts.Registry.NewFuncGauge(
-				fmt.Sprintf("%s{device=\"%d\"}", telemetry.MetricDeviceQueuePrefix, i),
-				"Queued chunk operations", false,
-				func() int64 { return int64(len(ch)) })
-		}
-	}
-	start := time.Now()
-	var devWG sync.WaitGroup
-	for _, d := range devices {
-		devWG.Add(1)
-		go func(d *device) {
-			defer devWG.Done()
-			var virtual time.Duration
-			for job := range d.ch {
-				if job.read {
-					virtual += cfg.ReadServiceTime
-					d.busyNS.Add(int64(cfg.ReadServiceTime))
-				} else {
-					virtual += cfg.ServiceTime
-					d.busyNS.Add(int64(cfg.ServiceTime))
-				}
-				d.chunks.Inc()
-				d.written++
-				// Throttle to the modelled bandwidth, sleeping only
-				// when the debt is large enough for the OS timer.
-				if lag := virtual - time.Since(start); lag > 2*time.Millisecond {
-					time.Sleep(lag)
-				}
-			}
-		}(d)
-	}
-
-	// The sink runs under the store lock; a full device queue applies
-	// backpressure to every writer, exactly like a saturated array.
-	// Routing goes through the fault runtime so chunks bound for a
-	// failed column are dropped and counted instead of queued.
-	var stripeFill int
-	var parityRow int64
-	var parityChunks int64
-	chunkBytes := geo.ChunkBytes()
-	deps.Sink = func(w lss.ChunkWrite) {
-		parityCol := int(parityRow % int64(ncols))
-		col := stripeFill
-		if col >= parityCol {
-			col++
-		}
-		fr.placeChunk(devices, col, chunkJob{payload: w.PayloadBytes, pad: w.PadBytes})
-		stripeFill++
-		if stripeFill == ncols-1 {
-			fr.placeChunk(devices, parityCol, chunkJob{payload: chunkBytes})
-			parityChunks++
-			stripeFill = 0
-			parityRow++
-		}
-	}
-	store := lss.New(cfg.Store, cfg.Policy, deps)
+	eng := s.Shard(0)
 	bgStep := 0
 	if cfg.Store.BackgroundGC {
 		bgStep = cfg.GCSliceUnits
@@ -219,23 +133,10 @@ func Run(cfg Config) (Result, error) {
 		}
 	}
 
-	if cfg.Fill {
-		for lba := int64(0); lba < cfg.Store.UserBlocks; lba++ {
-			if err := store.WriteBlock(lba, sim.Time(time.Since(start))); err != nil {
-				return Result{}, err
-			}
-			if bgStep > 0 {
-				store.GCStep(bgStep)
-			}
-		}
-	}
-	var mu sync.Mutex
-	targets := faultTargets{mu: &mu, stores: []*lss.Store{store}}
 	measureStart := time.Now()
 	if fr != nil {
-		fr.enterPhaseLocked(PhaseHealthy, targets.snap())
+		fr.enter(PhaseHealthy, s.Stats())
 	}
-
 	var issued atomic.Int64
 	var clientWG sync.WaitGroup
 	clientsDone := make(chan struct{})
@@ -244,9 +145,20 @@ func Run(cfg Config) (Result, error) {
 		rebuildWG.Add(1)
 		go func() {
 			defer rebuildWG.Done()
-			if fr.waitForRebuild(&issued, clientsDone) {
-				fr.rebuild(devices, targets, start, int64(store.Config().ChunkBytes()))
+			if !fr.waitForRebuild(&issued, clientsDone) {
+				return
 			}
+			fr.enter(PhaseRebuilding, s.Stats())
+			for {
+				_, done, err := s.RebuildStep(fr.cfg.RebuildBurst)
+				if err != nil {
+					panic(err) // the engine outlives the rebuild; this is a bug
+				}
+				if done {
+					break
+				}
+			}
+			fr.enter(PhaseRebuilt, s.Stats())
 		}()
 	}
 	for c := 0; c < cfg.Clients; c++ {
@@ -263,7 +175,10 @@ func Run(cfg Config) (Result, error) {
 					break
 				}
 				if fr != nil && op == fr.failOp {
-					fr.fail(targets, sim.Time(time.Since(start)))
+					if err := s.failColumn(fr.failDev, fr.cfg, op); err != nil {
+						panic(err) // the plan was validated; this is a bug
+					}
+					fr.enter(PhaseDegraded, s.Stats())
 				}
 				lba := z.Next()
 				var p Phase
@@ -272,37 +187,19 @@ func Run(cfg Config) (Result, error) {
 					p = Phase(fr.phase.Load())
 					t0 = time.Now()
 				}
+				// Reads bypass the log but occupy a column (all of the
+				// survivors, when aimed at a failed one).
+				var err error
 				if cfg.ReadRatio > 0 && rng.Float64() < cfg.ReadRatio {
-					// Reads bypass the log but occupy a column. A read
-					// aimed at the failed column fans out to every
-					// survivor instead: the XOR reconstruction path.
-					mu.Lock()
-					store.Read(lba, 1, sim.Time(time.Since(start)))
-					if bgStep > 0 {
-						store.GCStep(bgStep)
-					}
-					mu.Unlock()
-					target := rng.Intn(len(devices))
-					if fr.degradedTarget(target) {
-						fr.degReads.Add(1)
-						for col, d := range devices {
-							if col != fr.failDev {
-								fr.dispatch(d, chunkJob{read: true})
-							}
-						}
-					} else {
-						fr.dispatch(devices[target], chunkJob{read: true})
-					}
+					err = s.Read(lba, 1)
 				} else {
-					mu.Lock()
-					err := store.WriteBlock(lba, sim.Time(time.Since(start)))
-					if err == nil && bgStep > 0 {
-						store.GCStep(bgStep)
-					}
-					mu.Unlock()
-					if err != nil {
-						panic(err) // LBAs are generated in range; this is a bug
-					}
+					err = s.Write(lba, 1)
+				}
+				if err != nil {
+					panic(err) // LBAs are generated in range; this is a bug
+				}
+				if bgStep > 0 {
+					eng.GCStep(bgStep)
 				}
 				if fr != nil {
 					latNS[p] = append(latNS[p], float64(time.Since(t0)))
@@ -318,42 +215,38 @@ func Run(cfg Config) (Result, error) {
 	close(clientsDone)
 	rebuildWG.Wait()
 	measureEnd := time.Now() // phase accounting stops before the drain
-	mu.Lock()
-	for bgStep > 0 && store.GCActive() {
-		store.GCStep(1 << 30) // settle in-flight GC before the drain
+	if bgStep > 0 {
+		for !eng.GCStep(1 << 30) { // settle in-flight GC before the drain
+		}
 	}
-	store.Drain(sim.Time(time.Since(start)))
-	mu.Unlock()
-	for _, d := range devices {
-		close(d.ch)
-	}
-	devWG.Wait()
+	closeErr := s.Close() // drains, stops the devices, checks invariants
 	elapsed := time.Since(measureStart)
 
-	m := store.Metrics()
+	st := s.Stats()
 	res := Result{
 		Elapsed:       elapsed,
-		WA:            m.WA(),
-		EffectiveWA:   m.EffectiveWA(),
-		PaddingRatio:  m.PaddingRatio(),
-		ChunksWritten: store.Array().DataChunks(),
-		ParityChunks:  parityChunks,
-		UserBlocks:    m.UserBlocks,
-		GCBlocks:      m.GCBlocks,
-		ShadowBlocks:  m.ShadowBlocks,
-		PaddingBlocks: m.PaddingBlocks,
+		WA:            st.WA,
+		EffectiveWA:   st.EffectiveWA,
+		PaddingRatio:  st.PaddingRatio,
+		ChunksWritten: eng.store.Array().DataChunks(),
+		ParityChunks:  st.ParityChunks,
+		UserBlocks:    st.UserBlocks,
+		GCBlocks:      st.GCBlocks,
+		ShadowBlocks:  st.ShadowBlocks,
+		PaddingBlocks: st.PaddingBlocks,
 		FailedDevice:  -1,
+		DegradedReads: s.devs.degReads.Load(),
+		RebuildChunks: s.devs.rebuilt.Load(),
+		LostChunks:    s.devs.lost.Load(),
+		QueueRetries:  s.devs.retries.Load(),
 	}
 	if elapsed > 0 {
 		res.OpsPerSec = float64(cfg.Ops) / elapsed.Seconds()
 	}
 	if fr != nil {
-		fr.finish(&res, measureEnd, m)
-		if err := store.CheckInvariants(); err != nil {
-			return res, fmt.Errorf("prototype: post-fault invariant check: %w", err)
-		}
+		fr.finish(&res, measureEnd, st)
 	}
-	return res, nil
+	return res, closeErr
 }
 
 // FootprintReporter is implemented by policies that can report their

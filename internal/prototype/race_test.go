@@ -70,16 +70,17 @@ func TestPrototypeRace(t *testing.T) {
 	if res.OpsPerSec <= 0 {
 		t.Fatal("no throughput")
 	}
-	// The attached set must agree with the run result on totals.
+	// The attached set must agree with the run result on totals. Run
+	// drives a one-shard engine, so the store series carry shard 0.
 	ws := ts.Recorder.Windows()
 	if len(ws) == 0 {
 		t.Fatal("no telemetry windows recorded")
 	}
 	last := &ws[len(ws)-1]
-	if v, _ := last.Value(telemetry.MetricUserBlocks); v != res.UserBlocks {
+	if v, _ := last.Value(telemetry.ShardName(telemetry.MetricUserBlocks, 0)); v != res.UserBlocks {
 		t.Fatalf("telemetry user blocks %d, run reported %d", v, res.UserBlocks)
 	}
-	if v, _ := last.Value(telemetry.MetricPaddingBlocks); v != res.PaddingBlocks {
+	if v, _ := last.Value(telemetry.ShardName(telemetry.MetricPaddingBlocks, 0)); v != res.PaddingBlocks {
 		t.Fatalf("telemetry padding blocks %d, run reported %d", v, res.PaddingBlocks)
 	}
 	// Per-device instruments registered and accumulated.

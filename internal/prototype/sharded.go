@@ -32,12 +32,12 @@ type ShardedConfig struct {
 	PolicyFactory PolicyFactory
 }
 
-// Sharded partitions the LBA space into contiguous per-core slices,
-// each owned by an independent Engine (own lss.Store, own lock, own
-// victim index, own GC watermarks) over one shared device array — the
-// shards split the address space, not the hardware. It implements
-// Ingest, so the network server and harness drive it exactly like the
-// flat Engine.
+// Sharded is the ingest engine. It partitions the LBA space into
+// contiguous per-core slices, each owned by an independent Engine
+// shard (own lss.Store, own lock, own victim index, own GC watermarks)
+// over one shared device array — the shards split the address space,
+// not the hardware. One shard is the unsharded configuration; Run, the
+// network server, and the harness all drive it through Ingest.
 //
 // Cross-shard coordination is deliberately minimal:
 //
@@ -135,7 +135,7 @@ func NewSharded(cfg ShardedConfig) (*Sharded, error) {
 			return nil, fmt.Errorf("prototype: shard %d policy: %w", i, err)
 		}
 		scfg.Policy = pol
-		eng, err := newEngineOn(scfg, s.devs, i, false, s.gateFor(i))
+		eng, err := newShard(scfg, s.devs, i, s.gateFor(i))
 		if err != nil {
 			s.teardown()
 			return nil, fmt.Errorf("prototype: shard %d: %w", i, err)
@@ -419,38 +419,62 @@ func (s *Sharded) WriteBatchTimed(ops []BatchWrite) (OpTiming, error) {
 	return out, nil
 }
 
-// FailColumn fails one physical array column. The column is shared
-// hardware, so the failure degrades every shard: the fan-out stops at
-// the first error (the shards already degraded stay degraded — the
-// caller sees the error and the array is in a genuinely mixed state
-// only if the mirror rejected the column, which the first shard
-// catches before any state changes).
+// FailColumn fails one physical array column with the default
+// FaultConfig retry and watermark settings. The column is shared
+// hardware, so the failure degrades every shard.
 func (s *Sharded) FailColumn(col int) error {
+	return s.failColumn(col, FaultConfig{}, s.Stats().UserBlocks)
+}
+
+// failColumn arms the array failure under fc and switches every shard
+// into degraded-mode GC (failing the checker mirrors alongside, when
+// kept). It holds every shard lock, so no chunk is in flight through a
+// sink while the failure is armed. op is the failing operation, for the
+// trace.
+func (s *Sharded) failColumn(col int, fc FaultConfig, op int64) error {
+	s.lockAll()
+	defer s.unlockAll()
 	for _, e := range s.shards {
-		if err := e.FailColumn(col); err != nil {
+		if e.closed {
+			return ErrEngineClosed
+		}
+	}
+	if err := s.devs.fail(col, fc, op); err != nil {
+		return err
+	}
+	for _, e := range s.shards {
+		if err := e.failLocked(col); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// RebuildStep spreads the chunk budget over the shards' rebuilds in
-// shard order; done reports whether every shard's rebuild finished.
+// RebuildStep streams up to maxChunks chunks of the failed column back
+// through the device queues (and advances each shard's checker mirror
+// by as much, when kept). Degraded-mode GC lifts once the rebuild
+// passes the watermark; done reports that the array and every mirror
+// are whole again, after which the array leaves the fault path.
 func (s *Sharded) RebuildStep(maxChunks int) (rebuilt int, done bool, err error) {
+	if maxChunks < 1 {
+		return 0, false, fmt.Errorf("prototype: rebuild step of %d chunks", maxChunks)
+	}
+	rebuilt, lift, arrayDone := s.devs.rebuildStep(maxChunks)
 	done = true
 	for _, e := range s.shards {
-		budget := maxChunks - rebuilt
-		if budget <= 0 {
-			return rebuilt, false, nil
+		if !e.mirror && !lift && !arrayDone {
+			// Nothing to do on the shard: leave its lock to the traffic.
+			done = false
+			continue
 		}
-		n, d, err := e.RebuildStep(budget)
-		rebuilt += n
+		d, err := e.rebuildStep(maxChunks, lift, arrayDone)
 		if err != nil {
 			return rebuilt, false, err
 		}
-		if !d {
-			done = false
-		}
+		done = done && d
+	}
+	if done {
+		s.devs.endRebuild()
 	}
 	return rebuilt, done, nil
 }
@@ -597,4 +621,3 @@ func (s *Sharded) Close() error {
 }
 
 var _ Ingest = (*Sharded)(nil)
-var _ Ingest = (*Engine)(nil)

@@ -9,6 +9,7 @@ import (
 	"adapt/internal/lss"
 	"adapt/internal/placement"
 	"adapt/internal/sim"
+	"adapt/internal/telemetry"
 	"adapt/internal/workload"
 )
 
@@ -95,28 +96,21 @@ func applyTrace(t *testing.T, eng Ingest, ops []zipfOp) {
 }
 
 // liveness returns the per-LBA liveness bitmap of an engine. The
-// physical location of a block differs between a flat and a sharded
-// engine (independent logs, independent GC), but whether an LBA is
-// live depends only on the write/trim history — the differential
-// invariant the router must preserve.
-func liveness(eng Ingest, userBlocks int64) []bool {
+// physical location of a block differs between a one-shard and a
+// multi-shard engine (independent logs, independent GC), but whether
+// an LBA is live depends only on the write/trim history — the
+// differential invariant the router must preserve.
+func liveness(e *Sharded, userBlocks int64) []bool {
 	out := make([]bool, userBlocks)
-	switch e := eng.(type) {
-	case *Engine:
-		for lba := int64(0); lba < userBlocks; lba++ {
-			_, _, out[lba] = e.store.Location(lba)
-		}
-	case *Sharded:
-		for lba := int64(0); lba < userBlocks; lba++ {
-			sh := e.ShardOf(lba)
-			_, _, out[lba] = e.shards[sh].store.Location(lba - e.bases[sh])
-		}
+	for lba := int64(0); lba < userBlocks; lba++ {
+		sh := e.ShardOf(lba)
+		_, _, out[lba] = e.shards[sh].store.Location(lba - e.bases[sh])
 	}
 	return out
 }
 
 // TestShardedDifferentialZipfian replays one seeded 100k-op zipfian
-// trace against a flat engine and a 4-shard engine and requires the
+// trace against a one-shard (flat) engine and a 4-shard engine and requires the
 // identical per-LBA final state. The sharded run carries the checker
 // oracle, so every shard is also cross-checked against the reference
 // model during the replay and in full at Close.
@@ -124,22 +118,7 @@ func TestShardedDifferentialZipfian(t *testing.T) {
 	const userBlocks = 8192
 	ops := zipfTrace(0xad457, userBlocks, 100_000)
 
-	flat := func() *Engine {
-		pol, err := sepGCFactory(t)(0, shardedTestConfig(userBlocks).GeometryDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(EngineConfig{
-			Store:       shardedTestConfig(userBlocks),
-			Policy:      pol,
-			ServiceTime: time.Microsecond,
-			Fill:        true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}()
+	flat := newTestSharded(t, userBlocks, 1, false, false, true)
 	sharded := newTestSharded(t, userBlocks, 4, true, false, true)
 
 	applyTrace(t, flat, ops)
@@ -305,6 +284,98 @@ func TestShardedConcurrentFault(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close (per-shard oracle full check): %v", err)
+	}
+}
+
+// faultCounter reads one of the device array's fault counters off the
+// telemetry set.
+func faultCounter(t *testing.T, ts *telemetry.Set, name string) int64 {
+	t.Helper()
+	for _, in := range ts.Registry.Scalars() {
+		if in.Name() == name {
+			if f, ok := in.(*telemetry.FuncGauge); ok {
+				f.Refresh()
+			}
+			return in.Load()
+		}
+	}
+	t.Fatalf("%s not registered", name)
+	return 0
+}
+
+// TestShardedFaultWithoutMirror drives the serving-path fault model on
+// its own, with no checker mirror behind it: a failed column drops the
+// chunk writes routed to it and turns reads aimed at it into degraded
+// fan-out reads, the rebuild streams it back and lifts degraded mode,
+// and FailColumn validates its argument.
+func TestShardedFaultWithoutMirror(t *testing.T) {
+	const userBlocks = 4096
+	ts := telemetry.New(telemetry.Options{})
+	s, err := NewSharded(ShardedConfig{
+		Engine: EngineConfig{
+			Store:       shardedTestConfig(userBlocks),
+			ServiceTime: time.Microsecond,
+			Fill:        true,
+			Telemetry:   ts,
+		},
+		Shards:        2,
+		PolicyFactory: sepGCFactory(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ncols := s.Config().DataColumns + 1
+
+	for _, col := range []int{-1, ncols} {
+		if err := s.FailColumn(col); err == nil {
+			t.Fatalf("FailColumn(%d) accepted on a %d-column array", col, ncols)
+		}
+	}
+	if err := s.FailColumn(1); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Degraded() {
+		t.Fatal("not degraded after FailColumn")
+	}
+	if err := s.FailColumn(2); err == nil {
+		t.Fatal("second column failed while column 1 is down")
+	}
+
+	for lba := int64(0); lba < userBlocks; lba += 4 {
+		if err := s.Read(lba, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(lba, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := faultCounter(t, ts, telemetry.MetricDegradedReads); n == 0 {
+		t.Fatal("no read aimed at the failed column fanned out")
+	}
+	if n := faultCounter(t, ts, telemetry.MetricLostChunks); n == 0 {
+		t.Fatal("no chunk write routed to the failed column was dropped")
+	}
+
+	for {
+		_, done, err := s.RebuildStep(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+	}
+	if s.Degraded() {
+		t.Fatal("rebuild completion should clear degraded mode")
+	}
+	if n := faultCounter(t, ts, telemetry.MetricRebuildChunks); n == 0 {
+		t.Fatal("rebuild streamed no chunks")
+	}
+	// The array is whole again: the last column (parity included) can
+	// fail next.
+	if err := s.FailColumn(ncols - 1); err != nil {
+		t.Fatalf("FailColumn(%d) after a full rebuild: %v", ncols-1, err)
 	}
 }
 

@@ -598,7 +598,7 @@ func (st *Store) metricName(name string) string {
 	if !st.opts.Sharded {
 		return name
 	}
-	return fmt.Sprintf("%s{shard=\"%d\"}", name, st.opts.Shard)
+	return telemetry.ShardName(name, st.opts.Shard)
 }
 
 // attachTelemetry registers the lss_durable_* instruments.

@@ -32,7 +32,7 @@ import (
 // the manifest and the segfile geometry fingerprint both verify this.
 const e2eVolumes = 2
 
-func e2eServer(dir string) (*Server, *prototype.Engine, error) {
+func e2eServer(dir string) (*Server, *prototype.Sharded, error) {
 	cfg := lss.Config{
 		BlockSize:     testBlockBytes,
 		ChunkBlocks:   8,
@@ -48,14 +48,17 @@ func e2eServer(dir string) (*Server, *prototype.Engine, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	eng, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: time.Microsecond,
-		Durable: &segfile.Options{
-			Dir:  filepath.Join(dir, "engine"),
-			Sync: segfile.SyncAlways,
+	eng, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:       cfg,
+			ServiceTime: time.Microsecond,
+			Durable: &segfile.Options{
+				Dir:  filepath.Join(dir, "engine"),
+				Sync: segfile.SyncAlways,
+			},
 		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 	})
 	if err != nil {
 		return nil, nil, err

@@ -29,12 +29,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 var labelValue = regexp.MustCompile(`="[^"]*"`)
 
 // TestMetricNamesGolden pins the serving stack's metric namespace: it
-// boots the deepest stack (store + ADAPT policy + engine + traced
-// server + NBD frontend, so every family that path can register does),
-// normalizes indexed instances to one entry per family, and diffs
-// against the committed golden list. (The proto_degraded_* fault
-// families register only on prototype.Run's fault path and are pinned
-// by its own tests.) A rename, addition, or removal anywhere in the
+// boots the deepest stack (store + ADAPT policy + one-shard engine +
+// traced server + NBD frontend, so every family that path can register
+// does — the device array's fault families included), normalizes
+// indexed instances to one entry per family, and diffs against the
+// committed golden list. A rename, addition, or removal anywhere in the
 // stack fails here until the golden file — and with it DESIGN.md's
 // metric table — is updated deliberately (go test ./internal/server
 // -run MetricNames -update).
@@ -53,14 +52,17 @@ func TestMetricNamesGolden(t *testing.T) {
 		OverProvision: cfg.OverProvision,
 	}, adaptcore.Options{SampleRate: 0.5})
 	ts := telemetry.New(telemetry.Options{})
-	eng, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: time.Microsecond,
-		Telemetry:   ts,
-		// A durable backend registers the lss_durable_* families; the
-		// golden pins them alongside the rest of the namespace.
-		Durable: &segfile.Options{Dir: t.TempDir(), Sync: segfile.SyncOnSeal},
+	eng, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:       cfg,
+			ServiceTime: time.Microsecond,
+			Telemetry:   ts,
+			// A durable backend registers the lss_durable_* families; the
+			// golden pins them alongside the rest of the namespace.
+			Durable: &segfile.Options{Dir: t.TempDir(), Sync: segfile.SyncOnSeal},
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 	})
 	if err != nil {
 		t.Fatal(err)

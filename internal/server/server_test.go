@@ -21,7 +21,7 @@ import (
 // mirror tiny; the mirror needs BlockSize >= 17.
 const testBlockBytes = 64
 
-func testEngine(t *testing.T, userBlocks int64, verify, mirror bool) *prototype.Engine {
+func testEngine(t *testing.T, userBlocks int64, verify, mirror bool) *prototype.Sharded {
 	t.Helper()
 	cfg := lss.Config{
 		BlockSize:     testBlockBytes,
@@ -38,12 +38,15 @@ func testEngine(t *testing.T, userBlocks int64, verify, mirror bool) *prototype.
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:        cfg,
-		Policy:       pol,
-		ServiceTime:  time.Microsecond,
-		Verify:       verify,
-		VerifyMirror: mirror,
+	e, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:        cfg,
+			ServiceTime:  time.Microsecond,
+			Verify:       verify,
+			VerifyMirror: mirror,
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 
 // testEngineTele is testEngine plus a dedicated telemetry set, so GC
 // interference intervals and trace histograms are live.
-func testEngineTele(t *testing.T, userBlocks int64) (*prototype.Engine, *telemetry.Set) {
+func testEngineTele(t *testing.T, userBlocks int64) (*prototype.Sharded, *telemetry.Set) {
 	t.Helper()
 	cfg := lss.Config{
 		BlockSize:     testBlockBytes,
@@ -36,11 +36,14 @@ func testEngineTele(t *testing.T, userBlocks int64) (*prototype.Engine, *telemet
 		t.Fatal(err)
 	}
 	ts := telemetry.New(telemetry.Options{})
-	e, err := prototype.NewEngine(prototype.EngineConfig{
-		Store:       cfg,
-		Policy:      pol,
-		ServiceTime: time.Microsecond,
-		Telemetry:   ts,
+	e, err := prototype.NewSharded(prototype.ShardedConfig{
+		Engine: prototype.EngineConfig{
+			Store:       cfg,
+			ServiceTime: time.Microsecond,
+			Telemetry:   ts,
+		},
+		Shards:        1,
+		PolicyFactory: func(int, lss.Config) (lss.Policy, error) { return pol, nil },
 	})
 	if err != nil {
 		t.Fatal(err)

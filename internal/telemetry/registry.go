@@ -364,6 +364,20 @@ func promBase(name string) string {
 	return name
 }
 
+// ShardName decorates a metric name with a {shard="id"} label so the
+// shards of one engine can register on one set without colliding;
+// shard < 0 keeps the plain name. Names that already carry labels get
+// ,shard="id" appended inside the braces.
+func ShardName(name string, shard int) string {
+	if shard < 0 {
+		return name
+	}
+	if last := len(name) - 1; last >= 0 && name[last] == '}' {
+		return fmt.Sprintf("%s,shard=\"%d\"}", name[:last], shard)
+	}
+	return fmt.Sprintf("%s{shard=\"%d\"}", name, shard)
+}
+
 // LabelValue extracts the value of a {key="value"} label embedded in a
 // metric name, or "" when absent.
 func LabelValue(name, key string) string {
